@@ -62,18 +62,10 @@ func fuzzSeedFrames(t interface{ Fatalf(string, ...any) }) [][]byte {
 	}
 	multiJob := append(append(append([]byte(nil), bf...), pf...), sf...)
 
-	// The rolling-upgrade states: the same batch framed at each supported
-	// version, and all three concatenated in one body.
-	v3f, err := AppendBatchFrameVersion(nil, batch, 3)
-	if err != nil {
-		t.Fatalf("seed v3 batch: %v", err)
-	}
-	batch.Events = batch.Events[:2] // heartbeat + LWP: the kinds a v2 agent ships
-	v2f, err := AppendBatchFrameVersion(nil, batch, 2)
-	if err != nil {
-		t.Fatalf("seed v2 batch: %v", err)
-	}
-	mixedVers := append(append(append([]byte(nil), v2f...), v3f...), bf...)
+	// An un-upgraded agent's frame between two current ones: a v4 frame
+	// relabelled as retired version 3 (its CRC still holds) must be
+	// refused without costing its neighbours.
+	refused := append(append(append([]byte(nil), bf...), withVersion(pf, 3)...), bf...)
 
 	// Hostile v4 payloads with valid CRCs, so they reach the batch decoder:
 	// a dictionary count the bytes cannot hold, a non-minimal varint, and an
@@ -91,14 +83,14 @@ func fuzzSeedFrames(t interface{ Fatalf(string, ...any) }) [][]byte {
 	}, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0x01)) // tid zigzag delta = max uint64
 
 	return [][]byte{bf, sf, truncated, flipped, withGarbage, backToBack,
-		multiJob, v2f, v3f, mixedVers, truncDict, nonMinimal, overflow}
+		multiJob, refused, truncDict, nonMinimal, overflow}
 }
 
 // v4Frame wraps a raw v4 batch payload in a valid frame (correct magic,
 // version, length, CRC), so fuzz seeds exercise the payload decoder rather
 // than dying at the checksum.
 func v4Frame(t interface{ Fatalf(string, ...any) }, payload []byte) []byte {
-	dst := appendHeader(nil, FrameBatch, WireVersion)
+	dst := appendHeader(nil, FrameBatch)
 	dst = append(dst, payload...)
 	frame, err := finishFrame(dst)
 	if err != nil {
@@ -108,9 +100,11 @@ func v4Frame(t interface{ Fatalf(string, ...any) }, payload []byte) []byte {
 }
 
 // FuzzWireDecode throws arbitrary bytes at the frame reader, the payload
-// decoders, and the resyncing scanner. Invariants: no panic, the scanner
-// always terminates, and any frame that decodes cleanly re-encodes to the
-// exact bytes that were consumed (wire canonical form).
+// decoders, and the resyncing scanner. Invariants: no panic, the reader
+// only ever accepts WireVersion (the checked-in corpus is all retired v2/v3
+// frames, kept as refusal inputs), the scanner always terminates, and any
+// frame that decodes cleanly re-encodes to the exact bytes that were
+// consumed (wire canonical form).
 func FuzzWireDecode(f *testing.F) {
 	for _, seed := range fuzzSeedFrames(f) {
 		f.Add(seed)
@@ -121,12 +115,12 @@ func FuzzWireDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		kind, ver, payload, err := ReadFrame(bytes.NewReader(data))
 		if err == nil {
+			if ver != WireVersion {
+				t.Fatalf("ReadFrame accepted wire version %d", ver)
+			}
 			switch kind {
 			case FrameBatch:
-				// Canonical-form check only holds for current-version frames:
-				// a v2 batch re-encodes as v3 (one stalled byte per LWP event),
-				// so compatibility frames are only required not to panic.
-				if b, err := DecodeBatchPayloadVersionInto(payload, ver, new(BatchBuf)); err == nil && ver == WireVersion {
+				if b, err := DecodeBatchPayload(payload); err == nil {
 					re, err := EncodeBatchFrame(b)
 					if err != nil {
 						t.Fatalf("decoded batch failed to re-encode: %v", err)

@@ -14,8 +14,8 @@ import (
 )
 
 // rollupFuzzSeeds builds the seed corpus for FuzzRollupFrameDecode: healthy
-// rollup frames, a mixed v2/v3/rollup stream, and near-miss damage so the
-// fuzzer starts past the magic and CRC checks.
+// rollup frames, a mixed stream holding a refused v2 batch, and near-miss
+// damage so the fuzzer starts past the magic and CRC checks.
 func rollupFuzzSeeds(t testing.TB) map[string][]byte {
 	full := &RollupMsg{
 		LeafID:    "leaf-0:9101",
@@ -40,17 +40,18 @@ func rollupFuzzSeeds(t testing.TB) map[string][]byte {
 		t.Fatalf("seed empty rollup: %v", err)
 	}
 
-	// A mixed stream the resyncing scanner must survive: v2 batch, rollup,
-	// torn-write garbage, v3 batch, then a bit-flipped rollup.
+	// A mixed stream the resyncing scanner must survive: a refused v2
+	// batch, rollup, torn-write garbage, a current batch, then a
+	// bit-flipped rollup.
 	b2 := Batch{Origin: Origin{Job: "jr", Node: "n02", Rank: 2}, Epoch: 1, Seq: 0,
 		Events: []export.Event{
 			{Kind: export.EventLWP, TimeSec: 1, LWP: &export.LWPSample{TID: 9, Kind: "Main", State: 'R', UserPct: 70}},
 		}}
 	v2 := v2BatchFrame(t, &b2)
-	b3 := mkRollupBatch("n03", 3, 1, 0, 2)
-	v3, err := EncodeBatchFrame(&b3)
+	b4 := mkRollupBatch("n03", 3, 1, 0, 2)
+	v4, err := EncodeBatchFrame(&b4)
 	if err != nil {
-		t.Fatalf("seed v3 batch: %v", err)
+		t.Fatalf("seed v4 batch: %v", err)
 	}
 	flipped := append([]byte(nil), rf...)
 	flipped[len(flipped)-5] ^= 0x10
@@ -58,13 +59,13 @@ func rollupFuzzSeeds(t testing.TB) map[string][]byte {
 	mixed = append(mixed, v2...)
 	mixed = append(mixed, rf...)
 	mixed = append(mixed, []byte("torn-write-residue")...)
-	mixed = append(mixed, v3...)
+	mixed = append(mixed, v4...)
 	mixed = append(mixed, flipped...)
 
 	// A frame whose CRC is valid but whose batch count could never fit the
 	// remaining bytes: the structural walk must reject it before sizing
 	// anything from the count.
-	dst := appendHeader(nil, FrameRollup, WireVersion)
+	dst := appendHeader(nil, FrameRollup)
 	if dst, err = appendString(dst, "evil"); err != nil {
 		t.Fatalf("seed hostile: %v", err)
 	}
@@ -102,7 +103,7 @@ func FuzzRollupFrameDecode(f *testing.F) {
 		kind, ver, payload, err := ReadFrame(bytes.NewReader(data))
 		if err == nil && kind == FrameRollup {
 			var view rollupView
-			walkErr := walkRollupPayload(payload, ver, &view)
+			walkErr := walkRollupPayload(payload, &view)
 			ru, decErr := DecodeRollupPayload(payload, ver)
 			if walkErr != nil && decErr == nil {
 				t.Fatalf("walk rejected what the decoder accepted: %v", walkErr)
@@ -146,7 +147,7 @@ func FuzzRollupFrameDecode(f *testing.F) {
 			kind, payload, err := sc.Next()
 			if err == nil {
 				if kind == FrameRollup {
-					_ = walkRollupPayload(payload, sc.Version(), &view)
+					_ = walkRollupPayload(payload, &view)
 				}
 				continue
 			}

@@ -91,21 +91,21 @@ func TestRollupWalkRejects(t *testing.T) {
 	payload := append([]byte(nil), frame[frameHeaderLen:]...)
 	var view rollupView
 
-	if err := walkRollupPayload(payload, 2, &view); err == nil {
-		t.Fatal("wire version 2 rollup accepted; FrameRollup needs ver >= 3")
+	if _, err := DecodeRollupPayload(payload, 3); err == nil {
+		t.Fatal("wire version 3 rollup accepted; only WireVersion is read")
 	}
-	if err := walkRollupPayload(payload, WireVersion, &view); err != nil {
+	if err := walkRollupPayload(payload, &view); err != nil {
 		t.Fatalf("pristine payload rejected: %v", err)
 	}
 	// Every truncation point must fail the structural walk — never panic,
 	// never accept a partial structure.
 	for cut := 0; cut < len(payload); cut++ {
-		if err := walkRollupPayload(payload[:cut], WireVersion, &view); err == nil {
+		if err := walkRollupPayload(payload[:cut], &view); err == nil {
 			t.Fatalf("payload truncated to %d/%d bytes accepted", cut, len(payload))
 		}
 	}
 	// Trailing garbage after a well-formed structure is damage, not slack.
-	if err := walkRollupPayload(append(append([]byte(nil), payload...), 0xEE), WireVersion, &view); err == nil {
+	if err := walkRollupPayload(append(append([]byte(nil), payload...), 0xEE), &view); err == nil {
 		t.Fatal("trailing byte after rollup accepted")
 	}
 	// A hostile batch count larger than the remaining bytes could ever hold
@@ -113,31 +113,32 @@ func TestRollupWalkRejects(t *testing.T) {
 	// leafID (2+4 bytes here) + epoch + seq.
 	hostile := append([]byte(nil), payload...)
 	binary.LittleEndian.PutUint32(hostile[2+4+8+8:], 0xFFFFFFFF)
-	if err := walkRollupPayload(hostile, WireVersion, &view); err == nil {
+	if err := walkRollupPayload(hostile, &view); err == nil {
 		t.Fatal("hostile batch count accepted")
 	}
 	// Same for the snapshot count, which trails the embedded batches.
 	hostile = append([]byte(nil), payload...)
 	binary.LittleEndian.PutUint32(hostile[len(hostile)-4:], 0xFFFFFFFF)
-	if err := walkRollupPayload(hostile, WireVersion, &view); err == nil {
+	if err := walkRollupPayload(hostile, &view); err == nil {
 		t.Fatal("hostile snapshot count accepted")
 	}
 }
 
-// TestRollupScannerMixedStream feeds one body holding a v2 batch frame, a v3
-// batch frame, a rollup frame, inter-frame garbage, and a corrupted rollup
-// through the resyncing scanner: every healthy frame comes out, the damage
-// is reported, and the stream never desynchronizes.
+// TestRollupScannerMixedStream feeds one body holding a retired v2 batch
+// frame, inter-frame garbage, a rollup frame, a corrupted rollup, and a
+// current batch frame through the resyncing scanner: every healthy frame
+// comes out, the refused and damaged frames are reported, and the stream
+// never desynchronizes.
 func TestRollupScannerMixedStream(t *testing.T) {
 	// The v2 encoding predates most event kinds; LWP samples are its bread
-	// and butter, so the back-compat frame carries those.
+	// and butter, so the refused frame carries those.
 	b2 := Batch{Origin: Origin{Job: "jr", Node: "n2", Rank: 2}, Epoch: 1, Seq: 0}
 	for i := 0; i < 3; i++ {
 		b2.Events = append(b2.Events, lwpEvent(float64(i), 100+i, uint64(i)))
 	}
 	v2 := v2BatchFrame(t, &b2)
-	b3 := mkRollupBatch("n3", 3, 1, 0, 2)
-	v3, err := EncodeBatchFrame(&b3)
+	b4 := mkRollupBatch("n3", 3, 1, 0, 2)
+	v4, err := EncodeBatchFrame(&b4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +151,7 @@ func TestRollupScannerMixedStream(t *testing.T) {
 	stream.Write([]byte("!!!noise!!!"))
 	stream.Write(ru)
 	stream.Write(bad)
-	stream.Write(v3)
+	stream.Write(v4)
 
 	sc := NewFrameScanner(&stream)
 	var kinds []FrameKind
@@ -167,7 +168,7 @@ func TestRollupScannerMixedStream(t *testing.T) {
 		kinds = append(kinds, kind)
 		if kind == FrameRollup {
 			var view rollupView
-			if err := walkRollupPayload(payload, sc.Version(), &view); err != nil {
+			if err := walkRollupPayload(payload, &view); err != nil {
 				t.Fatalf("healthy rollup failed the walk: %v", err)
 			}
 			if view.leafID != "leaf" || len(view.batches) != 1 {
@@ -175,12 +176,12 @@ func TestRollupScannerMixedStream(t *testing.T) {
 			}
 		}
 	}
-	want := []FrameKind{FrameBatch, FrameRollup, FrameBatch}
+	want := []FrameKind{FrameRollup, FrameBatch}
 	if !reflect.DeepEqual(kinds, want) {
 		t.Fatalf("scanner yielded kinds %v, want %v", kinds, want)
 	}
-	if corrupt == 0 {
-		t.Fatal("corrupted rollup frame went unreported")
+	if corrupt < 2 {
+		t.Fatalf("%d corrupt reports, want the refused v2 frame and the damaged rollup", corrupt)
 	}
 }
 
@@ -261,7 +262,7 @@ func TestServerRollupBadEmbeddedBatch(t *testing.T) {
 	ts := httptest.NewServer(srv.Handler())
 	defer ts.Close()
 
-	dst := appendHeader(nil, FrameRollup, WireVersion)
+	dst := appendHeader(nil, FrameRollup)
 	dst, err := appendString(dst, "L")
 	if err != nil {
 		t.Fatal(err)

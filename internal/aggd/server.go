@@ -499,7 +499,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 		switch kind {
 		case FrameBatch:
-			b, err := DecodeBatchPayloadVersionInto(payload, sc.Version(), bb)
+			b, err := DecodeBatchPayloadInto(payload, bb)
 			if err != nil {
 				corrupt++
 				s.corruptFrames.Add(1)
@@ -523,7 +523,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			s.applySnapshot(msg)
 			frames++
 		case FrameRollup:
-			if err := s.applyRollup(payload, sc.Version(), bb); err != nil {
+			if err := s.applyRollup(payload, bb); err != nil {
 				corrupt++
 				s.corruptFrames.Add(1)
 				if firstErr == nil {
@@ -817,9 +817,9 @@ func (s *Server) noteRollupGap(ls *leafSeq, lo, hi uint64) {
 // passing its CRC (an encoder bug, not line damage) is skipped and
 // surfaces as the request's error while the rest of the rollup still
 // merges.
-func (s *Server) applyRollup(payload []byte, ver uint8, bb *BatchBuf) error {
+func (s *Server) applyRollup(payload []byte, bb *BatchBuf) error {
 	var view rollupView
-	if err := walkRollupPayload(payload, ver, &view); err != nil {
+	if err := walkRollupPayload(payload, &view); err != nil {
 		return err
 	}
 	s.rollupFrames.Add(1)
@@ -828,7 +828,7 @@ func (s *Server) applyRollup(payload []byte, ver uint8, bb *BatchBuf) error {
 	}
 	var firstErr error
 	for i, body := range view.batches {
-		b, err := DecodeBatchPayloadVersionInto(body, ver, bb)
+		b, err := DecodeBatchPayloadInto(body, bb)
 		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("aggd: rollup batch %d: %w", i, err)

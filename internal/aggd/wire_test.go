@@ -3,8 +3,14 @@ package aggd
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
+	"fmt"
 	"io"
+	"math"
+	"net/http"
+	"net/http/httptest"
 	"reflect"
+	"strings"
 	"testing"
 
 	"zerosum/internal/core"
@@ -191,12 +197,16 @@ func TestEncodeRejectsNilPayload(t *testing.T) {
 	}
 }
 
-// v2BatchFrame encodes b as a wire-version-2 frame: the layout an agent
-// from before the stalled flag (§3.3) ships, which the reader must keep
-// accepting through a rolling upgrade.
+// v2BatchFrame hand-encodes b as a wire-version-2 frame: the fixed-width
+// layout an agent from before the stalled flag (§3.3) shipped. Readers now
+// refuse it; the helper keeps that refusal tested against real v2 bytes.
 func v2BatchFrame(t testing.TB, b *Batch) []byte {
 	t.Helper()
-	dst := appendHeader(nil, FrameBatch, 2)
+	dst := appendHeader(nil, FrameBatch)
+	dst[4] = 2
+	appendF64 := func(dst []byte, v float64) []byte {
+		return binary.LittleEndian.AppendUint64(dst, math.Float64bits(v))
+	}
 	var err error
 	if dst, err = appendString(dst, b.Job); err != nil {
 		t.Fatal(err)
@@ -237,8 +247,18 @@ func v2BatchFrame(t testing.TB, b *Batch) []byte {
 	return frame
 }
 
-func TestDecodeBatchPayloadV2Compat(t *testing.T) {
-	want := &Batch{
+// withVersion returns a copy of frame with its header's version byte set to
+// ver. The CRC covers only the payload, so the copy is intact apart from the
+// version it claims.
+func withVersion(frame []byte, ver byte) []byte {
+	out := append([]byte(nil), frame...)
+	out[4] = ver
+	return out
+}
+
+// v2Batch is a one-LWP-event batch in the shape a v2 agent shipped.
+func v2Batch() *Batch {
+	return &Batch{
 		Origin: Origin{Job: "roll", Node: "n1", Rank: 2},
 		Epoch:  1, Seq: 4,
 		Events: []export.Event{
@@ -249,41 +269,42 @@ func TestDecodeBatchPayloadV2Compat(t *testing.T) {
 			}},
 		},
 	}
-	frame := v2BatchFrame(t, want)
-	kind, ver, payload, err := ReadFrame(bytes.NewReader(frame))
+}
+
+// TestDecodeBatchPayloadV2Compat pins the compatibility policy, which is
+// refusal: only WireVersion is read. A real v2 frame and a v4 frame
+// relabelled as v3 are both refused with the version named, and the
+// payload decoder refuses every version but WireVersion.
+func TestDecodeBatchPayloadV2Compat(t *testing.T) {
+	v4, err := EncodeBatchFrame(sampleBatch())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if kind != FrameBatch || ver != 2 {
-		t.Fatalf("kind = %d, ver = %d, want batch v2", kind, ver)
+	for ver, frame := range map[int][]byte{
+		2: v2BatchFrame(t, v2Batch()),
+		3: withVersion(v4, 3),
+	} {
+		_, _, _, err := ReadFrame(bytes.NewReader(frame))
+		if want := fmt.Sprintf("unsupported wire version %d", ver); err == nil || !strings.Contains(err.Error(), want) {
+			t.Errorf("v%d frame: got %v, want %q", ver, err, want)
+		}
 	}
-	got, err := DecodeBatchPayloadVersionInto(payload, ver, new(BatchBuf))
-	if err != nil {
-		t.Fatal(err)
+	payload := v4[FrameHeaderLen:]
+	if _, err := DecodeBatchPayloadVersionInto(payload, WireVersion, new(BatchBuf)); err != nil {
+		t.Fatalf("current version rejected: %v", err)
 	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("v2 decode mismatch:\ngot  %+v\nwant %+v", got, want)
-	}
-	if got.Events[0].LWP.Stalled {
-		t.Fatal("v2 LWP event decoded with Stalled=true")
-	}
-	// A v2 payload handed to the v3 decoder must not decode silently: the
-	// missing stalled byte skews every later field.
-	if _, err := DecodeBatchPayloadInto(payload, new(BatchBuf)); err == nil {
-		t.Fatal("v3 decoder accepted a v2 payload")
-	}
-	// Out-of-range versions are rejected outright.
-	if _, err := DecodeBatchPayloadVersionInto(payload, 1, new(BatchBuf)); err == nil {
-		t.Fatal("version 1 not rejected")
-	}
-	if _, err := DecodeBatchPayloadVersionInto(payload, WireVersion+1, new(BatchBuf)); err == nil {
-		t.Fatal("future version not rejected")
+	for _, ver := range []uint8{1, 2, 3, WireVersion + 1} {
+		if _, err := DecodeBatchPayloadVersionInto(payload, ver, new(BatchBuf)); err == nil {
+			t.Errorf("version %d not rejected", ver)
+		}
 	}
 }
 
-// TestFrameScannerMixedVersions: one body interleaving v2, v3 and v4
-// frames — the rolling-upgrade wire state — scans cleanly with Version
-// tracking each frame.
+// TestFrameScannerMixedVersions: a body holding a v2, a v3 and a v4 frame
+// — an un-upgraded agent's traffic beside a current one — yields only the
+// v4 batch; each refused frame is one CorruptFrameError naming its version.
+// The server applies the v4 batch, counts both refusals and answers 400 with
+// the version in the body, so the operator of an old agent sees the cause.
 func TestFrameScannerMixedVersions(t *testing.T) {
 	v4 := sampleBatch()
 	v4Frame, err := EncodeBatchFrame(v4)
@@ -292,42 +313,56 @@ func TestFrameScannerMixedVersions(t *testing.T) {
 	}
 	v3 := sampleBatch()
 	v3.Seq = 5
-	v3Frame, err := AppendBatchFrameVersion(nil, v3, 3)
+	v3Frame, err := EncodeBatchFrame(v3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2 := &Batch{
-		Origin: Origin{Job: "roll", Node: "n2", Rank: 0},
-		Epoch:  1, Seq: 9,
-		Events: []export.Event{
-			{Kind: export.EventLWP, TimeSec: 2, LWP: &export.LWPSample{
-				TimeSec: 2, TID: 7, Kind: "Other", State: 'S', CPU: 1,
-			}},
-		},
-	}
-	body := append(v2BatchFrame(t, v2), v3Frame...)
-	body = append(body, v4Frame...)
-	sc := NewFrameScanner(bytes.NewReader(body))
+	v2Frame := v2BatchFrame(t, v2Batch())
+	body := append(append(append([]byte(nil), v2Frame...), withVersion(v3Frame, 3)...), v4Frame...)
 
-	wantVers := []uint8{2, 3, 4}
-	wantSeqs := []uint64{9, 5, 9}
-	for i := range wantVers {
-		kind, payload, err := sc.Next()
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
+	sc := NewFrameScanner(bytes.NewReader(body))
+	for _, want := range []struct {
+		ver  int
+		span int
+	}{{2, len(v2Frame)}, {3, len(v3Frame)}} {
+		_, _, err := sc.Next()
+		var ce *CorruptFrameError
+		if !errors.As(err, &ce) {
+			t.Fatalf("v%d frame: got %v, want CorruptFrameError", want.ver, err)
 		}
-		if kind != FrameBatch || sc.Version() != wantVers[i] {
-			t.Fatalf("frame %d: kind %d version %d, want batch v%d", i, kind, sc.Version(), wantVers[i])
+		if reason := fmt.Sprintf("unsupported wire version %d", want.ver); ce.Reason != reason || ce.Skipped != want.span {
+			t.Fatalf("v%d frame: %v, want %q over %d bytes", want.ver, ce, reason, want.span)
 		}
-		b, err := DecodeBatchPayloadVersionInto(payload, sc.Version(), new(BatchBuf))
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if b.Seq != wantSeqs[i] {
-			t.Fatalf("frame %d: seq %d, want %d", i, b.Seq, wantSeqs[i])
-		}
+	}
+	kind, payload, err := sc.Next()
+	if err != nil || kind != FrameBatch || sc.Version() != WireVersion {
+		t.Fatalf("v4 frame: kind %d version %d err %v", kind, sc.Version(), err)
+	}
+	b, err := DecodeBatchPayloadInto(payload, new(BatchBuf))
+	if err != nil || b.Seq != v4.Seq {
+		t.Fatalf("v4 frame: batch %+v err %v", b, err)
 	}
 	if _, _, err := sc.Next(); err != io.EOF {
 		t.Fatalf("want io.EOF, got %v", err)
+	}
+
+	srv := NewServer(ServerConfig{})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+	resp, err := http.Post(ts.URL+"/api/ingest", "application/octet-stream", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	msg, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), "unsupported wire version 2") {
+		t.Fatalf("mixed-version body answered %d %q, want 400 naming version 2", resp.StatusCode, msg)
+	}
+	if st := srv.Stats(); st.IngestBatches != 1 || st.IngestEvents != uint64(len(v4.Events)) ||
+		st.CorruptFrames != 2 || st.IngestErrors != 1 {
+		t.Fatalf("after mixed-version body: %+v", st)
 	}
 }

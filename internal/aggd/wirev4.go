@@ -1,10 +1,11 @@
 package aggd
 
-// Wire version 4: the bytes-per-sample format. A v3 batch spends most of
-// its bytes on fixed-width fields that barely change between samples of the
-// same stream — 8-byte counters that tick up by single digits, float
-// percentages that repeat, label strings resent on every event. Version 4
-// removes that redundancy with two per-batch mechanisms:
+// Wire version 4: the bytes-per-sample format. The retired fixed-width
+// batches of versions 2 and 3 spent most of their bytes on fields that
+// barely change between samples of the same stream — 8-byte counters that
+// tick up by single digits, float percentages that repeat, label strings
+// resent on every event. Version 4 removes that redundancy with two
+// per-batch mechanisms:
 //
 //   - a field dictionary: every string the batch carries (job, node, LWP
 //     kinds, GPU metric labels) is emitted once, in first-use order, at the
@@ -43,7 +44,8 @@ import (
 )
 
 // v4MaxStrings bounds a batch dictionary (and each entry's length) to the
-// same 64Ki limit the v2/v3 length-prefixed strings had. The encoder
+// 64Ki limit of the u16-length-prefixed strings elsewhere on the wire
+// (a rollup's leaf ID). The encoder
 // enforces it so the decoder may reject bigger claims as hostile without
 // ever breaking a legitimate sender.
 const v4MaxStrings = math.MaxUint16
@@ -161,7 +163,7 @@ func (d *decoder) timeDelta(sc *v4Scalar) (uint64, error) {
 	return sc.timeBits, nil
 }
 
-// v4Encoder is the pooled scratch state of one appendBatchPayloadV4 call:
+// v4Encoder is the pooled scratch state of one appendBatchPayload call:
 // the dictionary under construction and the body buffer the events render
 // into while string refs are still being assigned (the dictionary must
 // precede the events on the wire, but is only complete once the last event
@@ -223,11 +225,13 @@ func appendCtrDelta(dst []byte, v, prev uint64) []byte {
 	return appendUvarint(dst, zigzag64(int64(v-prev)))
 }
 
-// appendBatchPayloadV4 appends the bare v4 batch payload encoding.
+// appendBatchPayload appends the bare batch payload encoding (what follows
+// a FrameBatch header). Rollup frames embed the same encoding
+// length-prefixed, so it is shared rather than inlined in AppendBatchFrame.
 //
 //zerosum:hotpath
 //zerosum:wire-encode batch
-func appendBatchPayloadV4(dst []byte, b *Batch) ([]byte, error) {
+func appendBatchPayload(dst []byte, b *Batch) ([]byte, error) {
 	e := v4EncPool.Get().(*v4Encoder)
 	e.reset()
 	body, err := e.appendBody(e.body[:0], b)
@@ -500,14 +504,14 @@ func (d *decoder) resolveRef(bb *BatchBuf, r uint64) (string, error) {
 	return bb.dict[r], nil
 }
 
-// decodeBatchPayloadV4Into parses a v4 batch payload into bb.
+// DecodeBatchPayloadInto parses a FrameBatch payload into bb and returns
+// the arena's batch. See BatchBuf for the aliasing contract.
 //
 //zerosum:hotpath
 //zerosum:wire-decode batch
-func decodeBatchPayloadV4Into(payload []byte, bb *BatchBuf) (*Batch, error) {
+func DecodeBatchPayloadInto(payload []byte, bb *BatchBuf) (*Batch, error) {
 	bb.reset()
-	bb.resetV4()
-	d := &decoder{buf: payload, ver: 4}
+	d := &decoder{buf: payload}
 	b := &bb.batch
 
 	nStr, err := d.uvarint()
@@ -597,9 +601,9 @@ func decodeBatchPayloadV4Into(payload []byte, bb *BatchBuf) (*Batch, error) {
 	return b, nil
 }
 
-// decodeEventV4Into decodes one v4 event, appending its payload struct to
-// the arena's per-kind slice (the fix-up pass wires the pointers once the
-// slices stop moving, as in v2/v3).
+// decodeEventV4Into decodes one event, appending its payload struct to the
+// arena's per-kind slice (the fix-up pass wires the pointers once the
+// slices stop moving).
 //
 //zerosum:hotpath
 //zerosum:wire-decode event
